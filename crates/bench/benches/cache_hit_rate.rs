@@ -1,17 +1,16 @@
 //! Cache effectiveness at fleet scale: the paper's 17-circuit suite plus
 //! the bundled corpus (27 circuits) × the six-compiler matrix, run through
-//! every tier of [`CompileCache`].
+//! both tiers of [`CompileCache`].
 //!
 //! Four measurements, each asserted:
 //!
 //! 1. **In-memory cold vs warm** — the warm pass must hit on ≥ 90% of
 //!    lookups (it hits on 100%) and reproduce the cold results
 //!    bit-identically, original compile times included.
-//! 2. **Cold-open warm sweep, per-file vs segment** — both disk layouts are
-//!    populated with the full matrix, then reopened cold and warmed through
-//!    [`CompileCache::warm_from_manifest`]. The segment tier (one
-//!    sequential read per segment, binary payloads) must beat the legacy
-//!    per-file JSON layer by ≥ 3× wall clock (reported but not asserted in
+//! 2. **Cold-open warm sweep** — a segment store is populated with the
+//!    full matrix, then reopened cold and warmed through
+//!    [`CompileCache::warm_from_manifest`]. Open plus warm must take at most
+//!    [`COLD_OPEN_BOUND_SECS`] (best of 3; reported but not asserted in
 //!    smoke mode, where the suite is capped).
 //! 3. **Concurrent writers** — 8 threads over 2 segment stores sharing one
 //!    directory (the two-service topology): a concurrent write wave, then a
@@ -34,7 +33,12 @@ use zac_circuit::StagedCircuit;
 use zac_core::{Compiler, CorpusManifest, Zac, ZacConfig};
 
 /// Format version of `BENCH_cache.json`.
-const FORMAT_VERSION: u64 = 1;
+const FORMAT_VERSION: u64 = 2;
+
+/// Full-run bound on cold open + `warm_from_manifest` of the 162-cell
+/// matrix: a third of the 18.09 ms the retired per-file JSON layer took,
+/// i.e. the old "segment tier ≥ 3× faster" bar held in absolute terms.
+const COLD_OPEN_BOUND_SECS: f64 = 6.0e-3;
 
 /// The 17-circuit paper suite plus the bundled corpus (27 circuits); smoke
 /// mode keeps one paper circuit per family so CI stays fast.
@@ -88,7 +92,7 @@ fn num(v: f64) -> Value {
 fn main() {
     let smoke = std::env::var("ZAC_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty());
     print_header(
-        "Cache hit rate — memory, segment-log and per-file tiers",
+        "Cache hit rate — memory and segment-log tiers",
         "(repo extension; enables O(1) figure regeneration and fleet-shared batch serving)",
     );
     if smoke {
@@ -147,9 +151,9 @@ fn main() {
     }
     println!("warm sweep bit-identical to cold sweep ✓");
 
-    // ---- 2. Cold-open warm sweep: per-file JSON vs segment log ----------
-    // Populate both disk layouts with the matrix (outputs come from the
-    // in-memory cache — no recompilation), plus the manifest that names it.
+    // ---- 2. Cold-open warm sweep of the segment store --------------------
+    // Populate the store with the matrix (outputs come from the in-memory
+    // cache — no recompilation), plus the manifest that names it.
     let keys: Vec<(CacheKey, String)> = compilers
         .iter()
         .flat_map(|c| {
@@ -163,20 +167,15 @@ fn main() {
         manifest.push(name.clone(), key.circuit, key.compiler);
     }
 
-    let perfile_dir = scratch_dir("perfile");
     let segment_dir = scratch_dir("segment");
-    for dir in [&perfile_dir, &segment_dir] {
-        std::fs::remove_dir_all(dir).ok();
-    }
+    std::fs::remove_dir_all(&segment_dir).ok();
     let outputs: Vec<_> = keys
         .iter()
         .map(|(key, name)| (*key, cache.get(*key).unwrap_or_else(|| panic!("missing cell {name}"))))
         .collect();
     {
-        let perfile = CompileCache::with_disk(4096, &perfile_dir).expect("per-file dir");
         let seg = CompileCache::with_segment_store(4096, &segment_dir).expect("segment dir");
         for (key, out) in &outputs {
-            perfile.put(*key, out);
             seg.put(*key, out);
         }
         let s = seg.segment_stats().expect("segment stats");
@@ -190,17 +189,10 @@ fn main() {
     let manifest = CorpusManifest::load(&manifest_path).expect("load manifest");
     assert_eq!(manifest.len() as u64, cells);
 
-    // Cold-open + full warm, best of 3 rounds per layout.
-    let mut perfile_secs = f64::INFINITY;
+    // Cold-open + full warm, best of 3 rounds.
     let mut segment_secs = f64::INFINITY;
     let mut segment_warmed = 0;
     for _ in 0..3 {
-        let t = Instant::now();
-        let c = CompileCache::with_disk(4096, &perfile_dir).expect("reopen per-file");
-        let r = c.warm_from_manifest(&manifest);
-        perfile_secs = perfile_secs.min(t.elapsed().as_secs_f64());
-        assert_eq!(r.warmed as u64, cells, "per-file tier warms every cell");
-
         let t = Instant::now();
         let c = CompileCache::with_segment_store(4096, &segment_dir).expect("reopen segment");
         let r = c.warm_from_manifest(&manifest);
@@ -208,18 +200,16 @@ fn main() {
         segment_warmed = r.warmed;
         assert_eq!(r.warmed as u64, cells, "segment tier warms every cell");
     }
-    let disk_speedup = perfile_secs / segment_secs.max(1e-9);
+    let bound_ms = 1e3 * COLD_OPEN_BOUND_SECS;
     println!("\ncold-open warm sweep ({cells} cells, best of 3):");
-    println!("  per-file JSON layer: {:>9.2} ms", 1e3 * perfile_secs);
-    println!("  segment-log tier:    {:>9.2} ms", 1e3 * segment_secs);
-    println!("  speedup:             {disk_speedup:>9.1}x");
+    println!("  segment-log tier:    {:>9.2} ms (bound {bound_ms:.2} ms)", 1e3 * segment_secs);
     if smoke {
-        println!("  (smoke mode: ≥3x bar reported, not asserted)");
+        println!("  (smoke mode: bound reported, not asserted)");
     } else {
         assert!(
-            disk_speedup >= 3.0,
-            "segment tier cold-open warm sweep speedup {disk_speedup:.2}x below the 3x bar \
-             ({perfile_secs:.4}s per-file vs {segment_secs:.4}s segment)"
+            segment_secs <= COLD_OPEN_BOUND_SECS,
+            "segment tier cold-open warm sweep took {:.2} ms, above the {bound_ms:.2} ms bound",
+            1e3 * segment_secs
         );
     }
 
@@ -304,9 +294,8 @@ fn main() {
         (
             "cold_open_warm_sweep".into(),
             Value::Object(vec![
-                ("perfile_secs".into(), num(perfile_secs)),
                 ("segment_secs".into(), num(segment_secs)),
-                ("speedup".into(), num(disk_speedup)),
+                ("bound_secs".into(), num(COLD_OPEN_BOUND_SECS)),
                 ("warmed".into(), num(segment_warmed as f64)),
             ]),
         ),
@@ -327,7 +316,6 @@ fn main() {
                 ("seals".into(), num(seg_stats.seals as f64)),
                 ("compacted_records".into(), num(seg_stats.compacted_records as f64)),
                 ("recovered_bytes".into(), num(seg_stats.recovered_bytes as f64)),
-                ("migrated".into(), num(seg_stats.migrated as f64)),
                 ("index_entries".into(), num(seg_stats.index_entries as f64)),
                 ("segments".into(), num(seg_stats.segments as f64)),
             ]),
@@ -340,7 +328,7 @@ fn main() {
     std::fs::write(&out_path, json).expect("write BENCH_cache.json");
     println!("\nwrote {out_path}");
 
-    for dir in [&perfile_dir, &segment_dir, &shared_dir] {
+    for dir in [&segment_dir, &shared_dir] {
         std::fs::remove_dir_all(dir).ok();
     }
 }

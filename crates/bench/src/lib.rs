@@ -17,7 +17,7 @@ pub mod corpus;
 use rayon::prelude::*;
 use zac_arch::Architecture;
 use zac_baselines::{Atomique, Enola, Nalac, Sc};
-use zac_cache::{CacheKey, CompileCache};
+use zac_cache::CompileCache;
 use zac_circuit::{bench_circuits, preprocess, StagedCircuit};
 use zac_core::{CompileError, CompileOutput, Compiler, GateCounts, Zac, ZacConfig};
 use zac_fidelity::FidelityReport;
@@ -149,20 +149,11 @@ pub fn run_cell_with(
     staged: &StagedCircuit,
     cache: Option<&CompileCache>,
 ) -> RunOutcome {
-    if let Some(cache) = cache {
-        let key = CacheKey::compute(compiler, staged);
-        if let Some(out) = cache.get(key) {
-            return RunOutcome::Ok(RunResult::from_output(compiler, out));
-        }
-        return match compiler.compile(staged) {
-            Ok(out) => {
-                cache.put(key, &out);
-                RunOutcome::Ok(RunResult::from_output(compiler, out))
-            }
-            Err(e) => outcome_from_error(e),
-        };
-    }
-    match compiler.compile(staged) {
+    let compiled = match cache {
+        Some(cache) => cache.get_or_compile(compiler, staged),
+        None => compiler.compile(staged),
+    };
+    match compiled {
         Ok(out) => RunOutcome::Ok(RunResult::from_output(compiler, out)),
         Err(e) => outcome_from_error(e),
     }

@@ -6,16 +6,16 @@
 //!
 //! * counters sum consistently — every lookup is exactly one of hit,
 //!   disk hit, or miss, no matter how the threads interleave;
-//! * the atomic write-then-rename path never publishes a torn disk
-//!   envelope, even with many writers racing on one directory;
+//! * the segment store never publishes a torn record, even with many
+//!   writers racing on one store;
 //! * a warm second wave over a populated cache is 100% hits;
 //! * two segment stores sharing one directory (the multi-service
 //!   topology) serve each other's writes without torn reads.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use zac_cache::segment::{LoadOutcome, SegmentStore, RECORD_HEADER_LEN};
 use zac_cache::{CacheKey, CompileCache};
 use zac_core::CompileOutput;
 use zac_fidelity::{evaluate_neutral_atom, ExecutionSummary, NeutralAtomParams};
@@ -123,30 +123,32 @@ fn concurrent_memory_cache_counters_sum_consistently() {
 fn concurrent_disk_cache_is_consistent_and_untorn() {
     let dir = temp_cache_dir("hammer");
     // Memory capacity below the key count forces evictions mid-hammer, so
-    // the disk path serves hits while writers are still racing renames.
-    let cache = CompileCache::with_disk(KEYS / 3, &dir).unwrap();
+    // the disk path serves hits while writers are still racing appends.
+    let cache = CompileCache::with_segment_store(KEYS / 3, &dir).unwrap();
     let observed = hammer(&cache);
     assert_counters_consistent(&cache, observed);
 
-    // No torn envelopes: every entry file is complete, parseable JSON that
-    // embeds a loadable CompileOutput, and no temp files leaked.
-    let mut entries = 0;
+    // No torn records: the directory holds only segment files, and a fresh
+    // store over it indexes every key with nothing to recover.
     for file in std::fs::read_dir(&dir).unwrap().filter_map(Result::ok) {
         let name = file.file_name().to_string_lossy().into_owned();
-        assert!(!name.contains(".tmp"), "leaked temp file {name}");
-        assert!(name.ends_with(".json"), "stray file {name}");
-        entries += 1;
-        let text = std::fs::read_to_string(file.path()).unwrap();
-        let value: serde::Value = serde_json::from_str(&text).expect("untorn JSON");
-        let obj = serde::ObjectView::new(&value).unwrap();
-        let embedded: CompileOutput = obj.field("output").expect("loadable embedded output");
-        assert!(embedded.summary.name.starts_with("conc-"), "{}", embedded.summary.name);
+        assert!(name.starts_with("seg-") && name.ends_with(".log"), "stray file {name}");
     }
-    assert_eq!(entries, KEYS, "one entry file per key");
+    let store = SegmentStore::open(&dir).unwrap();
+    for i in 0..KEYS {
+        let LoadOutcome::Hit(out) = store.load_classified(key(i)) else {
+            panic!("key {i} must load intact");
+        };
+        assert_eq!(out.summary.name, format!("conc-{i}"));
+    }
+    let seg = store.stats();
+    assert_eq!(seg.index_entries, KEYS, "one live record per key: {seg:?}");
+    assert_eq!(seg.recovered_bytes, 0, "{seg:?}");
+    drop(store);
 
     // Warm second wave through a *fresh* cache over the same directory —
     // empty memory, so every hit is a disk hit — must be 100% hits.
-    let warm = CompileCache::with_disk(KEYS, &dir).unwrap();
+    let warm = CompileCache::with_segment_store(KEYS, &dir).unwrap();
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
             let warm = warm.clone();
@@ -248,77 +250,69 @@ fn concurrent_segment_stores_share_one_directory() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The fault-injecting writer: overwrites `key(i)`'s entry file with one of
-/// the three corruption shapes a crashed or interrupted writer leaves
-/// behind — a *torn* write (a valid prefix of the real envelope, cut
-/// mid-JSON), a *truncated* file (zero bytes), or *garbage* (bytes that
-/// were never JSON).
-fn corrupt_entry(dir: &Path, i: usize) {
-    let path = dir.join(format!("{}.json", key(i).file_stem()));
-    let intact = std::fs::read_to_string(&path).expect("entry exists before corruption");
-    let corrupted: Vec<u8> = match i % 3 {
-        0 => intact.as_bytes()[..intact.len() / 2].to_vec(),
-        1 => Vec::new(),
-        _ => b"\x00\xffnot json at all\x7f".to_vec(),
-    };
-    std::fs::write(&path, corrupted).expect("fault-injecting writer");
-}
-
+/// Damage inside a sealed segment — bytes rotted after the segment was
+/// written — is handled safely: every record from the damaged one onward is
+/// unreachable and reads as a clean miss (never a read error), the skipped
+/// span is counted as recovered bytes, and re-putting the lost keys makes
+/// them hit again after a reopen.
 #[test]
-fn corrupted_disk_entries_quarantine_then_recompile_cleanly() {
-    const CORRUPT: usize = 6;
-    let dir = temp_cache_dir("corrupt");
+fn damaged_sealed_segment_reads_as_misses_then_recompiles_cleanly() {
+    const DAMAGED: usize = 6;
+    let dir = temp_cache_dir("damaged");
     {
-        let cache = CompileCache::with_disk(KEYS, &dir).unwrap();
+        let cache = CompileCache::with_segment_store(KEYS, &dir).unwrap();
         for i in 0..KEYS {
             cache.put(key(i), &output(i));
         }
-    }
-    for i in 0..CORRUPT {
-        corrupt_entry(&dir, i);
-    }
-    // Crashed-writer debris on top: recovery must sweep it at open.
-    std::fs::write(dir.join("deadbeef.json.tmp.999"), b"partial").unwrap();
+    } // clean close seals the one segment, records in put order
 
-    let cache = CompileCache::with_disk(KEYS, &dir).unwrap();
-    let recovery = cache.recovery_report().expect("disk-backed cache has a recovery report");
-    assert_eq!(recovery.tmp_removed, 1, "orphaned temp file swept: {recovery:?}");
-    assert_eq!(recovery.quarantined, 0, "nothing quarantined before any lookup: {recovery:?}");
+    // Flip one payload byte of the first damaged key's record.
+    let sealed: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.to_string_lossy().ends_with(".seg.log"))
+        .collect();
+    assert_eq!(sealed.len(), 1, "{sealed:?}");
+    let mut bytes = std::fs::read(&sealed[0]).unwrap();
+    let mut pos = 0;
+    for _ in 0..KEYS - DAMAGED {
+        let len = std::str::from_utf8(&bytes[pos + 5..pos + 13]).unwrap();
+        pos += RECORD_HEADER_LEN + usize::from_str_radix(len, 16).unwrap() + 1;
+    }
+    bytes[pos + RECORD_HEADER_LEN] ^= 0xff;
+    std::fs::write(&sealed[0], bytes).unwrap();
 
-    // First wave: corrupt entries are clean misses (quarantined, not
-    // errors); intact entries still hit from disk.
+    let cache = CompileCache::with_segment_store(KEYS, &dir).unwrap();
+    let seg = cache.segment_stats().unwrap();
+    assert!(seg.recovered_bytes > 0, "the damaged span is skipped and counted: {seg:?}");
     for i in 0..KEYS {
         match cache.get(key(i)) {
-            None => assert!(i < CORRUPT, "intact key {i} must hit"),
+            None => assert!(i >= KEYS - DAMAGED, "intact key {i} must hit"),
             Some(out) => {
-                assert!(i >= CORRUPT, "corrupt key {i} must miss");
+                assert!(i < KEYS - DAMAGED, "damaged key {i} must miss");
                 assert_eq!(out.counts.g1, i);
             }
         }
     }
     let stats = cache.stats();
-    assert_eq!(stats.quarantined, CORRUPT as u64, "{stats:?}");
-    assert_eq!(stats.disk_errors, 0, "corruption is quarantine, not an error: {stats:?}");
-    assert_eq!(stats.misses, CORRUPT as u64, "{stats:?}");
+    assert_eq!(stats.misses, DAMAGED as u64, "{stats:?}");
+    assert_eq!(stats.disk_errors, 0, "damage is a clean miss, not a read error: {stats:?}");
+    assert_eq!(stats.quarantined, 0, "{stats:?}");
     assert_eq!(
         stats.lookups(),
         stats.hits + stats.disk_hits + stats.misses,
-        "counter identity holds through quarantining: {stats:?}"
+        "counter identity holds through damage: {stats:?}"
     );
-    for i in 0..CORRUPT {
-        let q = dir.join(format!("{}.quarantine", key(i).file_stem()));
-        assert!(q.exists(), "corrupt bytes kept for inspection at {q:?}");
-    }
 
-    // Recompile the quarantined keys: the slots are free again and the
-    // rewritten entries serve hits.
-    for i in 0..CORRUPT {
+    // Recompile the lost keys, then hammer a fresh cache (empty memory)
+    // over the repaired directory: every key is back on disk, so the
+    // hammer never misses and nothing reads as damaged.
+    for i in KEYS - DAMAGED..KEYS {
         cache.put(key(i), &output(i));
     }
-    // A fresh cache (empty memory) over the repaired directory, hammered
-    // concurrently: counters stay consistent and nothing re-quarantines.
-    // Every key is back on disk, so the hammer never misses at all.
-    let repaired = CompileCache::with_disk(KEYS / 3, &dir).unwrap();
+    drop(cache);
+    let repaired = CompileCache::with_segment_store(KEYS / 3, &dir).unwrap();
     let observed = hammer(&repaired);
     let stats = repaired.stats();
     assert_eq!(observed, 0, "the repaired directory serves everything: {stats:?}");
@@ -328,14 +322,7 @@ fn corrupted_disk_entries_quarantine_then_recompile_cleanly() {
         "counter identity holds over the repaired directory: {stats:?}"
     );
     assert_eq!(stats.lookups() as usize, THREADS * ROUNDS * KEYS, "{stats:?}");
-    assert_eq!(stats.quarantined, 0, "repaired entries are intact: {stats:?}");
-    assert_eq!(stats.disk_errors, 0, "{stats:?}");
-
-    // The quarantine files survive for post-mortem until an operator (or a
-    // fresh open's recovery report) deals with them.
-    let reopened = CompileCache::with_disk(KEYS, &dir).unwrap();
-    let recovery = reopened.recovery_report().expect("recovery report");
-    assert_eq!(recovery.quarantined, CORRUPT, "{recovery:?}");
+    assert_eq!((stats.quarantined, stats.disk_errors), (0, 0), "{stats:?}");
 
     std::fs::remove_dir_all(&dir).ok();
 }

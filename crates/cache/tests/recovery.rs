@@ -1,24 +1,17 @@
-//! Seeded fault-plan tests for the disk layer's crash-safety: bounded
-//! write retries under injected IO faults, and read faults classifying as
-//! disk errors (never quarantine — the bytes on disk are fine).
+//! Seeded fault-plan test for the disk tier's read path: an injected read
+//! fault classifies as a disk error, never quarantine — the bytes on disk
+//! are fine.
 //!
-//! Fault plans are **process-global**, which is why these tests live in
-//! their own binary (a plan armed here can never leak into the
-//! `concurrency` suite) and serialize on [`GATE`] within it.
+//! Fault plans are **process-global**, which is why this test lives in its
+//! own binary: a plan armed here can never leak into the `concurrency`
+//! suite.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 use zac_cache::{CacheKey, CompileCache};
 use zac_core::CompileOutput;
 use zac_fidelity::{evaluate_neutral_atom, ExecutionSummary, NeutralAtomParams};
 use zac_telemetry::{fault, FaultPlan};
-
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> std::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 fn temp_cache_dir(tag: &str) -> std::path::PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -50,55 +43,14 @@ fn output(i: usize) -> CompileOutput {
 }
 
 #[test]
-fn injected_write_faults_retry_and_every_store_resolves() {
-    let _gate = gate();
-    const N: usize = 24;
-    let dir = temp_cache_dir("write-faults");
-    let cache = CompileCache::with_disk(N, &dir).unwrap();
-
-    // 40% of write attempts fail: most stores succeed within the 3-attempt
-    // budget (retries counted), a store whose three draws all fail surfaces
-    // as a disk error — never a torn or half-written entry.
-    fault::arm(FaultPlan::parse("9:cache.disk.write=io@0.4").expect("plan parses"));
-    for i in 0..N {
-        cache.put(key(i), &output(i));
-    }
-    fault::disarm();
-
-    let stats = cache.stats();
-    assert!(stats.disk_retries > 0, "a 40% fault rate must force retries: {stats:?}");
-
-    // Every store resolved exactly one way: a readable entry on disk or a
-    // counted disk error. A fresh cache (cold memory) proves the survivors
-    // are intact — and none of the failures left debris behind.
-    let fresh = CompileCache::with_disk(N, &dir).unwrap();
-    let readable = (0..N).filter(|&i| fresh.get(key(i)).is_some()).count();
-    assert_eq!(
-        readable + stats.disk_errors as usize,
-        N,
-        "readable entries + write failures account for every store: {stats:?}"
-    );
-    assert!(readable > 0, "at a 40% fault rate most stores must get through");
-    let fresh_stats = fresh.stats();
-    assert_eq!(fresh_stats.quarantined, 0, "failed writes never publish bytes: {fresh_stats:?}");
-    for file in std::fs::read_dir(&dir).unwrap().filter_map(Result::ok) {
-        let name = file.file_name().to_string_lossy().into_owned();
-        assert!(!name.contains(".tmp."), "leaked temp file {name}");
-    }
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn injected_read_faults_are_disk_errors_not_quarantine() {
-    let _gate = gate();
     let dir = temp_cache_dir("read-faults");
     {
-        let cache = CompileCache::with_disk(4, &dir).unwrap();
+        let cache = CompileCache::with_segment_store(4, &dir).unwrap();
         cache.put(key(0), &output(0));
     }
 
-    let cache = CompileCache::with_disk(4, &dir).unwrap();
+    let cache = CompileCache::with_segment_store(4, &dir).unwrap();
     zac_telemetry::set_enabled(true);
     let metric_before = zac_telemetry::metrics::CACHE_DISK_READ_ERRORS.get();
     fault::arm(FaultPlan::parse("10:cache.disk.read=io").expect("plan parses"));

@@ -12,8 +12,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
-use zac_cache::disk::LoadOutcome;
-use zac_cache::segment::{SegmentConfig, SegmentStore};
+use zac_cache::segment::{LoadOutcome, SegmentConfig, SegmentStore};
 use zac_cache::{CacheKey, CompileCache};
 use zac_core::CompileOutput;
 use zac_fidelity::{evaluate_neutral_atom, ExecutionSummary, NeutralAtomParams};
@@ -223,9 +222,9 @@ fn mid_compaction_crash_leaves_a_recoverable_store() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Transient IO faults on append retry within the bounded budget, exactly
-/// like the per-file layer: every put resolves as a readable record or a
-/// counted disk error, never torn bytes.
+/// Transient IO faults on append retry within the bounded budget: every
+/// put resolves as a readable record or a counted disk error, never torn
+/// bytes.
 #[test]
 fn injected_append_faults_retry_and_every_put_resolves() {
     let _gate = gate();

@@ -2,8 +2,8 @@
 //! log.
 //!
 //! The JSON envelope (`output_json`) is the exchange format — stable,
-//! inspectable, streamed to clients. It is also what capped the per-file
-//! disk cache: rehydrating a corpus-scale store spends almost all of its
+//! inspectable, streamed to clients. It is also what capped the retired
+//! one-JSON-file-per-entry disk cache: rehydrating a corpus-scale store spends almost all of its
 //! wall clock inside the JSON tree parser. Segment records therefore carry
 //! this fixed-layout binary form instead — length-prefixed strings, `u64`
 //! little-endian integers, `f64` payloads as raw IEEE-754 bits — which

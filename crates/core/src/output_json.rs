@@ -1,10 +1,9 @@
 //! The versioned [`CompileOutput`] JSON envelope.
 //!
-//! ZAIR programs (`zac-zair`) and the cache disk layer (`zac-cache`) have
-//! carried stable JSON for a while; this module gives the *exchange type*
-//! itself one, so a serving layer can stream compile results to clients and
-//! a cache entry can embed the very same document. The schema is versioned
-//! and forward-tolerant:
+//! ZAIR programs (`zac-zair`) have carried stable JSON for a while; this
+//! module gives the *exchange type* itself one, so a serving layer can
+//! stream compile results to clients. The schema is versioned and
+//! forward-tolerant:
 //!
 //! * **v2** (current, [`COMPILE_OUTPUT_FORMAT_VERSION`]) — summary, report,
 //!   named gate counts, wall-clock compile time, the `from_cache` marker,

@@ -7,36 +7,11 @@
 //! workspace-reuse optimization. A counting global allocator makes the claim
 //! checkable instead of asserted.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations;
 use zac_graph::{AssignmentWorkspace, CostMatrix};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// A dense synthetic instance with deterministic pseudo-random costs.
 fn fill(cost: &mut CostMatrix, rows: usize, cols: usize, salt: u64) {

@@ -11,40 +11,15 @@
 //! Emission is excluded by design: it materializes the output `Program`,
 //! whose instructions are owned allocations by definition.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations;
 use zac_arch::{Architecture, Loc, SiteId};
 use zac_circuit::Gate2;
 use zac_place::StagePlan;
 use zac_schedule::internals::{build_transition_pending, drain_pending, prepare_workspace};
 use zac_schedule::{ScheduleConfig, ScheduleWorkspace};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// A synthetic transition: `k` gate fetches into sites (two moves each) and
 /// `r` returns to storage, phase-shifted by `salt` so rounds differ.

@@ -19,9 +19,10 @@
 //!
 //! The wire format is line-delimited JSON ([`protocol`]); successful
 //! entries embed the versioned `CompileOutput` envelope from
-//! `zac_core::output_json`. The executor's compile path is byte-for-byte
-//! the bench harness's cache get → compile → put, so responses are
-//! bit-identical to direct `BatchRunner` runs — the serving layer never
+//! `zac_core::output_json`. The executor compiles through
+//! [`CompileCache::get_or_compile`](zac_cache::CompileCache::get_or_compile),
+//! the same call the bench harness makes, so responses are bit-identical to
+//! direct `BatchRunner` runs — the serving layer never
 //! changes compilation semantics (locked by `tests/serve.rs` at the
 //! workspace root; see DESIGN.md §9).
 //!

@@ -256,8 +256,8 @@ pub static SERVE_BREAKER_REJECTED: Counter = Counter::new("serve.breaker.rejecte
 pub static SERVE_BREAKER_HALF_OPEN_PROBES: Counter = Counter::new("serve.breaker.half_open_probes");
 pub static SERVE_QUEUE_SHED: Counter = Counter::new("serve.queue.shed");
 
-/// `zac-cache`: crash-safety — corrupt disk entries quarantined,
-/// transient write errors retried, and failing read syscalls (which
+/// `zac-cache`: crash-safety — disk records that no longer decode dropped
+/// (quarantined), transient write errors retried, and failing read syscalls (which
 /// degrade to clean misses) counted.
 pub static CACHE_DISK_QUARANTINED: Counter = Counter::new("cache.disk.quarantined");
 pub static CACHE_DISK_RETRIES: Counter = Counter::new("cache.disk.retries");

@@ -6,36 +6,11 @@
 //! the claim checkable instead of asserted; a companion check confirms the
 //! enabled path actually records (so the guard is not vacuous).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations;
 use zac_telemetry::metrics;
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// One iteration of a compile-loop-shaped instrumentation mix: nested
 /// labeled spans plus every metric kind.

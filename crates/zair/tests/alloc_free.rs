@@ -8,37 +8,12 @@
 //! allocator makes the claim checkable instead of asserted (the same
 //! technique as `zac-graph/tests/alloc_free.rs`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations;
 use zac_arch::{Architecture, Loc};
 use zac_zair::machine::{JobBuilder, MoveSpec};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
 
 /// A fetch bundle of `k` order-preserving storage→site moves (row-major
 /// monotone, so they always form one valid job).

@@ -127,14 +127,14 @@ fn soak(label: &str, service: &Service, plan: &str, waves: usize) {
 fn soaked_service_always_terminates_and_recovers_bit_identical() {
     let injected_before = fault::injected();
 
-    // Plan 1 — cache-layer IO faults against a disk-backed cache: torn-off
-    // writes retry or surface as disk errors, failed reads degrade to
+    // Plan 1 — cache-layer IO faults against a segment-store cache: failed
+    // appends retry or surface as disk errors, failed reads degrade to
     // misses; compiles themselves never fail, so every wave is all-ok.
     let dir = temp_dir("cache-io");
     let service = Service::new(ServiceConfig {
         workers: 4,
         zac_config: soak_config(),
-        cache: CompileCache::with_disk(64, &dir).expect("disk cache opens"),
+        cache: CompileCache::with_segment_store(64, &dir).expect("disk cache opens"),
         breaker_cooldown_ms: 50,
         ..Default::default()
     });
