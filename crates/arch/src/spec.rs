@@ -295,7 +295,7 @@ impl Architecture {
 /// optional sections omitted when absent.
 mod json {
     use super::*;
-    use serde::{DeError, Deserialize, ObjectView, Serialize, Value};
+    use serde::{DeError, Deserialize, JsonWriter, ObjectView, Serialize, Value};
 
     serde::impl_serde_struct!(SpecDurations {
         rydberg,
@@ -308,10 +308,10 @@ mod json {
     serde::impl_serde_struct!(SpecQubit { t2_us => "T" });
 
     impl Serialize for ScalarOrPair {
-        fn to_value(&self) -> Value {
+        fn serialize(&self, w: &mut JsonWriter) {
             match *self {
-                ScalarOrPair::Scalar(v) => v.to_value(),
-                ScalarOrPair::Pair(x, y) => (x, y).to_value(),
+                ScalarOrPair::Scalar(v) => v.serialize(w),
+                ScalarOrPair::Pair(x, y) => (x, y).serialize(w),
             }
         }
     }
@@ -329,13 +329,11 @@ mod json {
     }
 
     impl Serialize for SpecSlm {
-        fn to_value(&self) -> Value {
-            Value::object()
-                .with("id", self.id.to_value())
-                .with("site_seperation", self.site_separation.to_value())
-                .with("r", self.r.to_value())
-                .with("c", self.c.to_value())
-                .with("location", self.location.to_value())
+        fn serialize(&self, w: &mut JsonWriter) {
+            let mut o = w.object();
+            o.field("id", &self.id).field("site_seperation", &self.site_separation);
+            o.field("r", &self.r).field("c", &self.c).field("location", &self.location);
+            o.end();
         }
     }
 
@@ -353,12 +351,11 @@ mod json {
     }
 
     impl Serialize for SpecZone {
-        fn to_value(&self) -> Value {
-            Value::object()
-                .with("zone_id", self.zone_id.to_value())
-                .with("slms", self.slms.to_value())
-                .with("offset", self.offset.to_value())
-                .with("dimension", self.dimension.to_value())
+        fn serialize(&self, w: &mut JsonWriter) {
+            let mut o = w.object();
+            o.field("zone_id", &self.zone_id).field("slms", &self.slms);
+            o.field("offset", &self.offset).field("dimension", &self.dimension);
+            o.end();
         }
     }
 
@@ -375,12 +372,11 @@ mod json {
     }
 
     impl Serialize for SpecAod {
-        fn to_value(&self) -> Value {
-            Value::object()
-                .with("id", self.id.to_value())
-                .with("site_seperation", self.site_separation.to_value())
-                .with("r", self.r.to_value())
-                .with("c", self.c.to_value())
+        fn serialize(&self, w: &mut JsonWriter) {
+            let mut o = w.object();
+            o.field("id", &self.id).field("site_seperation", &self.site_separation);
+            o.field("r", &self.r).field("c", &self.c);
+            o.end();
         }
     }
 
@@ -397,29 +393,29 @@ mod json {
     }
 
     impl Serialize for ArchSpec {
-        fn to_value(&self) -> Value {
-            let mut v = Value::object().with("name", self.name.to_value());
+        fn serialize(&self, w: &mut JsonWriter) {
+            let mut o = w.object();
+            o.field("name", &self.name);
             if let Some(d) = &self.operation_duration {
-                v = v.with("operation_duration", d.to_value());
+                o.field("operation_duration", d);
             }
             if let Some(f) = &self.operation_fidelity {
-                v = v.with("operation_fidelity", f.to_value());
+                o.field("operation_fidelity", f);
             }
             if let Some(q) = &self.qubit_spec {
-                v = v.with("qubit_spec", q.to_value());
+                o.field("qubit_spec", q);
             }
-            v = v
-                .with("storage_zones", self.storage_zones.to_value())
-                .with("entanglement_zones", self.entanglement_zones.to_value())
-                .with("readout_zones", self.readout_zones.to_value())
-                .with("aods", self.aods.to_value());
+            o.field("storage_zones", &self.storage_zones);
+            o.field("entanglement_zones", &self.entanglement_zones);
+            o.field("readout_zones", &self.readout_zones);
+            o.field("aods", &self.aods);
             if let Some(r) = &self.arch_range {
-                v = v.with("arch_range", r.to_value());
+                o.field("arch_range", r);
             }
             if let Some(r) = &self.rydberg_range {
-                v = v.with("rydberg_range", r.to_value());
+                o.field("rydberg_range", r);
             }
-            v
+            o.end();
         }
     }
 

@@ -5,10 +5,14 @@
 //!
 //! Two waves run back to back: a cold wave that populates the shared
 //! cache, then — after a barrier — a warm wave that must be served from
-//! it. Reported per wave: request latency percentiles (p50/p90/p99),
-//! throughput, aggregate phase timings, and the cache hit rate; the warm
-//! wave must hit on ≥ 90% of lookups (asserted — this bench doubles as the
-//! serving-layer load test).
+//! it. Reported per wave: request latency percentiles (p50/p90/p99, in
+//! microseconds), throughput, aggregate phase timings, and the cache hit
+//! rate; the warm wave must hit on ≥ 90% of lookups (asserted — this
+//! bench doubles as the serving-layer load test).
+//!
+//! Latency is timed by the client: from `submit_line` to the terminal
+//! response, with every response line encoded on the way exactly as the
+//! binary's writer thread encodes it (`serde_json::to_string`).
 //!
 //! Run with `cargo bench -p zac-bench --bench serve_load`. Environment:
 //!
@@ -27,19 +31,22 @@ fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-/// One request's observables, as reported by its terminal `Done`.
+/// One request's observables.
 struct Sample {
-    latency_ms: u64,
+    /// Client-side microseconds from `submit_line` to the encoded terminal
+    /// response.
+    latency_us: u64,
+    /// Phase totals reported by the terminal `Done`.
     place_ns: u64,
     schedule_ns: u64,
 }
 
-fn percentile(sorted_ms: &[u64], p: f64) -> u64 {
-    if sorted_ms.is_empty() {
+fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
         return 0;
     }
-    let rank = (p / 100.0 * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[rank.min(sorted_ms.len() - 1)]
+    let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
+    sorted[rank.min(sorted.len() - 1)]
 }
 
 /// Replays `requests` corpus batches per client across `clients` threads;
@@ -76,15 +83,22 @@ fn wave(
                     );
                     // The wire entry point, exactly as the binary drives it.
                     let line = serde_json::to_string(&request).expect("request serializes");
+                    let submitted = Instant::now();
                     for response in service.submit_line(&line) {
+                        // Encode the line as the binary's writer thread does.
+                        std::hint::black_box(
+                            serde_json::to_string(&response).expect("response encodes"),
+                        );
                         match response {
                             Response::Result { name, outcome, .. } => {
                                 assert!(outcome.output().is_some(), "{name} must compile");
                             }
                             Response::Done(done) => {
+                                let latency_us = u64::try_from(submitted.elapsed().as_micros())
+                                    .unwrap_or(u64::MAX);
                                 assert_eq!(done.ok, corpus.len(), "{}", done.id);
                                 samples.lock().unwrap().push(Sample {
-                                    latency_ms: done.latency_ms,
+                                    latency_us,
                                     place_ns: done.phase_totals.place_ns,
                                     schedule_ns: done.phase_totals.schedule_ns,
                                 });
@@ -99,34 +113,74 @@ fn wave(
     Arc::try_unwrap(samples).ok().expect("clients joined").into_inner().unwrap()
 }
 
-fn report_wave(name: &str, samples: &[Sample], wall_secs: f64) -> serde::Value {
-    use serde::Serialize;
-    let mut latencies: Vec<u64> = samples.iter().map(|s| s.latency_ms).collect();
+/// One wave's summary, as printed and as written to the JSON report.
+struct WaveReport {
+    requests: usize,
+    wall_secs: f64,
+    p50_us: u64,
+    p90_us: u64,
+    p99_us: u64,
+    place_ms_total: f64,
+    schedule_ms_total: f64,
+}
+
+serde::impl_serde_struct!(WaveReport {
+    requests,
+    wall_secs,
+    p50_us,
+    p90_us,
+    p99_us,
+    place_ms_total,
+    schedule_ms_total,
+});
+
+/// The whole run, written to `ZAC_SERVE_LOAD_OUT`.
+struct LoadReport {
+    concurrency: usize,
+    requests_per_client: usize,
+    corpus_circuits: usize,
+    cold: WaveReport,
+    warm: WaveReport,
+    warm_hit_rate: f64,
+}
+
+serde::impl_serde_struct!(LoadReport {
+    concurrency,
+    requests_per_client,
+    corpus_circuits,
+    cold,
+    warm,
+    warm_hit_rate,
+});
+
+fn report_wave(name: &str, samples: &[Sample], wall_secs: f64) -> WaveReport {
+    let mut latencies: Vec<u64> = samples.iter().map(|s| s.latency_us).collect();
     latencies.sort_unstable();
-    let (p50, p90, p99) =
-        (percentile(&latencies, 50.0), percentile(&latencies, 90.0), percentile(&latencies, 99.0));
-    let place_ms: f64 = samples.iter().map(|s| s.place_ns as f64 / 1e6).sum();
-    let schedule_ms: f64 = samples.iter().map(|s| s.schedule_ns as f64 / 1e6).sum();
+    let report = WaveReport {
+        requests: samples.len(),
+        wall_secs,
+        p50_us: percentile(&latencies, 50.0),
+        p90_us: percentile(&latencies, 90.0),
+        p99_us: percentile(&latencies, 99.0),
+        place_ms_total: samples.iter().map(|s| s.place_ns as f64 / 1e6).sum(),
+        schedule_ms_total: samples.iter().map(|s| s.schedule_ns as f64 / 1e6).sum(),
+    };
     println!(
         "{name:<6} {:>4} requests in {wall_secs:>6.3} s ({:>7.1} req/s)   \
-         p50 {p50:>3} ms  p90 {p90:>3} ms  p99 {p99:>3} ms   \
-         phases: place {place_ms:>8.1} ms, schedule {schedule_ms:>7.1} ms",
-        samples.len(),
-        samples.len() as f64 / wall_secs,
+         p50 {:>7} us  p90 {:>7} us  p99 {:>7} us   \
+         phases: place {:>8.1} ms, schedule {:>7.1} ms",
+        report.requests,
+        report.requests as f64 / wall_secs,
+        report.p50_us,
+        report.p90_us,
+        report.p99_us,
+        report.place_ms_total,
+        report.schedule_ms_total,
     );
-    serde::Value::Object(vec![
-        ("requests".into(), samples.len().to_value()),
-        ("wall_secs".into(), wall_secs.to_value()),
-        ("p50_ms".into(), p50.to_value()),
-        ("p90_ms".into(), p90.to_value()),
-        ("p99_ms".into(), p99.to_value()),
-        ("place_ms_total".into(), place_ms.to_value()),
-        ("schedule_ms_total".into(), schedule_ms.to_value()),
-    ])
+    report
 }
 
 fn main() {
-    use serde::Serialize;
     print_header(
         "Serve load — corpus replay against the compile service",
         "(repo extension; load-tests the zac-serve worker pool and shared cache)",
@@ -176,8 +230,8 @@ fn main() {
     let warm_hits = (stats.hits + stats.disk_hits) - (cold_stats.hits + cold_stats.disk_hits);
     let warm_hit_rate = warm_hits as f64 / warm_lookups as f64;
 
-    let cold_json = report_wave("cold", &cold, cold_secs);
-    let warm_json = report_wave("warm", &warm, warm_secs);
+    let cold = report_wave("cold", &cold, cold_secs);
+    let warm = report_wave("warm", &warm, warm_secs);
     println!(
         "\nwarm wave: {warm_hits}/{warm_lookups} lookups served from cache \
          (hit rate {:.1}%)",
@@ -189,14 +243,14 @@ fn main() {
     );
 
     if let Ok(path) = std::env::var("ZAC_SERVE_LOAD_OUT") {
-        let report = serde::Value::Object(vec![
-            ("concurrency".into(), clients.to_value()),
-            ("requests_per_client".into(), requests.to_value()),
-            ("corpus_circuits".into(), corpus.len().to_value()),
-            ("cold".into(), cold_json),
-            ("warm".into(), warm_json),
-            ("warm_hit_rate".into(), warm_hit_rate.to_value()),
-        ]);
+        let report = LoadReport {
+            concurrency: clients,
+            requests_per_client: requests,
+            corpus_circuits: corpus.len(),
+            cold,
+            warm,
+            warm_hit_rate,
+        };
         std::fs::write(&path, serde_json::to_string(&report).expect("report serializes"))
             .expect("write load report");
         println!("report written to {path}");

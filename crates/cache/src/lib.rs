@@ -14,7 +14,8 @@
 //! that determinism into two cache layers:
 //!
 //! * [`lru::ShardedLru`] — an in-process, `Mutex`-per-shard LRU holding
-//!   [`CompileOutput`] clones, sized in entries, with cost-aware eviction
+//!   shared (`Arc`) [`CompileOutput`]s, sized in entries, with cost-aware
+//!   eviction
 //!   (cheap-to-recompute entries evict before expensive ones at comparable
 //!   recency);
 //! * a disk tier, [`segment::SegmentStore`] — an append-only segment log
@@ -224,7 +225,9 @@ impl CompileCache {
     /// `compile_time`; disk hits are promoted into memory.
     pub fn get(&self, key: CacheKey) -> Option<CompileOutput> {
         let c = &self.inner.counters;
-        if let Some(mut out) = self.inner.lru.get(key) {
+        if let Some(shared) = self.inner.lru.get(key) {
+            // The shard lock is already released; the deep copy happens here.
+            let mut out = CompileOutput::clone(&shared);
             c.hits.fetch_add(1, Ordering::Relaxed);
             metrics::CACHE_HITS.incr();
             out.from_cache = true;
@@ -233,12 +236,14 @@ impl CompileCache {
         if let Some(disk) = &self.inner.disk {
             match disk.load_classified(key) {
                 LoadOutcome::Hit(out) => {
-                    let mut out = *out;
                     c.disk_hits.fetch_add(1, Ordering::Relaxed);
                     metrics::CACHE_DISK_HITS.incr();
-                    let evicted = self.inner.lru.insert(key, out.clone());
+                    // Memory shares the decoded value; the caller gets a copy.
+                    let shared = Arc::new(*out);
+                    let evicted = self.inner.lru.insert(key, Arc::clone(&shared));
                     c.evictions.fetch_add(evicted, Ordering::Relaxed);
                     metrics::CACHE_EVICTIONS.add(evicted);
+                    let mut out = CompileOutput::clone(&shared);
                     out.from_cache = true;
                     return Some(out);
                 }
@@ -277,7 +282,7 @@ impl CompileCache {
                 }
             };
         }
-        let evicted = self.inner.lru.insert(key, pristine);
+        let evicted = self.inner.lru.insert(key, Arc::new(pristine));
         c.evictions.fetch_add(evicted, Ordering::Relaxed);
         c.insertions.fetch_add(1, Ordering::Relaxed);
         metrics::CACHE_EVICTIONS.add(evicted);
@@ -329,7 +334,7 @@ impl CompileCache {
             .collect();
         let c = &self.inner.counters;
         for (key, out) in store.bulk_load(&keys) {
-            let evicted = self.inner.lru.insert(key, out);
+            let evicted = self.inner.lru.insert(key, Arc::new(out));
             c.evictions.fetch_add(evicted, Ordering::Relaxed);
             metrics::CACHE_EVICTIONS.add(evicted);
             report.warmed += 1;

@@ -1,9 +1,10 @@
-//! The in-process layer: a sharded LRU map over [`CompileOutput`]s.
+//! The in-process layer: a sharded LRU map over shared [`CompileOutput`]s.
 //!
 //! Lock granularity is one `Mutex` per shard (no external dependencies, no
 //! lock-free cleverness): a rayon sweep's worker threads hash to different
 //! shards with high probability, so contention stays negligible next to
-//! compile times. Keys are already uniform 64-bit fingerprints, so shard
+//! compile times. Entries are `Arc`s, so a lookup holds its shard only to
+//! bump a reference count; the caller's deep copy happens after unlock. Keys are already uniform 64-bit fingerprints, so shard
 //! selection is a simple XOR-fold — no re-hashing needed.
 //!
 //! Eviction is cost-aware (a GreedyDual-style twist on LRU): each entry
@@ -18,7 +19,7 @@
 
 use crate::CacheKey;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use zac_core::CompileOutput;
 use zac_telemetry::metrics;
 
@@ -31,7 +32,7 @@ pub const SHARDS: usize = 16;
 const _: () = assert!(SHARDS == metrics::CACHE_SHARDS);
 
 struct Entry {
-    output: CompileOutput,
+    output: Arc<CompileOutput>,
     /// Logical access time within the owning shard (monotonic per shard).
     tick: u64,
     /// Cost-aware eviction credit, in ticks (see module docs).
@@ -100,8 +101,8 @@ impl ShardedLru {
         &self.shards[Self::shard_index(key)]
     }
 
-    /// Looks up `key`, refreshing its recency. Returns a clone.
-    pub fn get(&self, key: CacheKey) -> Option<CompileOutput> {
+    /// Looks up `key`, refreshing its recency. Returns the shared entry.
+    pub fn get(&self, key: CacheKey) -> Option<Arc<CompileOutput>> {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         let tick = shard.touch();
         let Some(entry) = shard.map.get_mut(&key) else {
@@ -110,13 +111,13 @@ impl ShardedLru {
         };
         entry.tick = tick;
         metrics::CACHE_SHARD_HITS.add(Self::shard_index(key), 1);
-        Some(entry.output.clone())
+        Some(Arc::clone(&entry.output))
     }
 
     /// Inserts (or refreshes) `key`, evicting the shard's lowest-value
     /// entry (recency + recompute-cost bonus; see module docs) when full.
     /// Returns the number of evictions (0 or 1).
-    pub fn insert(&self, key: CacheKey, output: CompileOutput) -> u64 {
+    pub fn insert(&self, key: CacheKey, output: Arc<CompileOutput>) -> u64 {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         let tick = shard.touch();
         let mut evicted = 0;
@@ -167,7 +168,7 @@ mod tests {
     use std::time::Duration;
     use zac_fidelity::{evaluate_neutral_atom, ExecutionSummary, NeutralAtomParams};
 
-    fn output(tag: usize) -> CompileOutput {
+    fn output(tag: usize) -> Arc<CompileOutput> {
         let summary = ExecutionSummary {
             name: format!("c{tag}"),
             num_qubits: 2,
@@ -179,7 +180,7 @@ mod tests {
             idle_us: vec![0.0, 0.0],
         };
         let report = evaluate_neutral_atom(&summary, &NeutralAtomParams::reference());
-        CompileOutput::new(summary, report, Duration::from_millis(1), None)
+        Arc::new(CompileOutput::new(summary, report, Duration::from_millis(1), None))
     }
 
     /// Keys landing in one shard, so per-shard LRU order is observable.
@@ -190,11 +191,11 @@ mod tests {
 
     /// An output whose recorded recompute cost (place + schedule) is
     /// `micros` microseconds.
-    fn output_with_cost(tag: usize, micros: u64) -> CompileOutput {
-        output(tag).with_phases(
+    fn output_with_cost(tag: usize, micros: u64) -> Arc<CompileOutput> {
+        Arc::new(Arc::unwrap_or_clone(output(tag)).with_phases(
             Duration::from_micros(micros / 2),
             Duration::from_micros(micros - micros / 2),
-        )
+        ))
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::fmt;
 use zac_circuit::StagedCircuit;
 
-use serde::{DeError, Deserialize, ObjectView, Serialize, Value};
+use serde::{DeError, Deserialize, JsonWriter, ObjectView, Serialize, Value};
 
 /// Outcome of attempting one unit of compile work — the typed replacement
 /// for "`Option<T>` plus a stderr warning". Generic so the bench harness
@@ -227,48 +227,36 @@ impl std::error::Error for RejectReason {}
 // JSON: a `kind`-tagged object so protocol consumers can dispatch without
 // knowing every variant, with the typed payload alongside.
 impl Serialize for RejectReason {
-    fn to_value(&self) -> Value {
-        let (kind, fields): (&str, Vec<(String, Value)>) = match *self {
-            Self::TooLarge { needed, available } => (
-                "too_large",
-                vec![
-                    ("needed".into(), needed.to_value()),
-                    ("available".into(), available.to_value()),
-                ],
-            ),
-            Self::TooManyGates { gates, cap } => (
-                "too_many_gates",
-                vec![("gates".into(), gates.to_value()), ("cap".into(), cap.to_value())],
-            ),
-            Self::TooManyCircuits { circuits, cap } => (
-                "too_many_circuits",
-                vec![("circuits".into(), circuits.to_value()), ("cap".into(), cap.to_value())],
-            ),
-            Self::DeadlineExpired { deadline_ms, waited_ms } => (
-                "deadline_expired",
-                vec![
-                    ("deadline_ms".into(), deadline_ms.to_value()),
-                    ("waited_ms".into(), waited_ms.to_value()),
-                ],
-            ),
-            Self::QueueFull { depth, cap } => (
-                "queue_full",
-                vec![("depth".into(), depth.to_value()), ("cap".into(), cap.to_value())],
-            ),
-            Self::BreakerOpen { failures, cooldown_ms } => (
-                "breaker_open",
-                vec![
-                    ("failures".into(), failures.to_value()),
-                    ("cooldown_ms".into(), cooldown_ms.to_value()),
-                ],
-            ),
-            Self::Shed { depth, cap } => {
-                ("shed", vec![("depth".into(), depth.to_value()), ("cap".into(), cap.to_value())])
+    fn serialize(&self, w: &mut JsonWriter) {
+        let mut o = w.object();
+        match *self {
+            Self::TooLarge { needed, available } => {
+                o.field("kind", "too_large").field("needed", &needed);
+                o.field("available", &available);
             }
-        };
-        let mut obj = vec![("kind".into(), kind.to_value())];
-        obj.extend(fields);
-        Value::Object(obj)
+            Self::TooManyGates { gates, cap } => {
+                o.field("kind", "too_many_gates").field("gates", &gates).field("cap", &cap);
+            }
+            Self::TooManyCircuits { circuits, cap } => {
+                o.field("kind", "too_many_circuits").field("circuits", &circuits);
+                o.field("cap", &cap);
+            }
+            Self::DeadlineExpired { deadline_ms, waited_ms } => {
+                o.field("kind", "deadline_expired").field("deadline_ms", &deadline_ms);
+                o.field("waited_ms", &waited_ms);
+            }
+            Self::QueueFull { depth, cap } => {
+                o.field("kind", "queue_full").field("depth", &depth).field("cap", &cap);
+            }
+            Self::BreakerOpen { failures, cooldown_ms } => {
+                o.field("kind", "breaker_open").field("failures", &failures);
+                o.field("cooldown_ms", &cooldown_ms);
+            }
+            Self::Shed { depth, cap } => {
+                o.field("kind", "shed").field("depth", &depth).field("cap", &cap);
+            }
+        }
+        o.end();
     }
 }
 
@@ -301,13 +289,11 @@ impl Deserialize for RejectReason {
 }
 
 impl Serialize for AdmissionLimits {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("max_qubits".into(), self.max_qubits.to_value()),
-            ("max_gates".into(), self.max_gates.to_value()),
-            ("max_circuits".into(), self.max_circuits.to_value()),
-            ("deadline_ms".into(), self.deadline_ms.to_value()),
-        ])
+    fn serialize(&self, w: &mut JsonWriter) {
+        let mut o = w.object();
+        o.field("max_qubits", &self.max_qubits).field("max_gates", &self.max_gates);
+        o.field("max_circuits", &self.max_circuits).field("deadline_ms", &self.deadline_ms);
+        o.end();
     }
 }
 

@@ -12,7 +12,7 @@
 //! `f64`-backed and cannot represent every `u64` exactly, and a silently
 //! rounded fingerprint would warm (or miss) the wrong entry.
 
-use serde::{DeError, Deserialize, ObjectView, Serialize, Value};
+use serde::{DeError, Deserialize, JsonWriter, ObjectView, Serialize, Value};
 use std::io;
 use std::path::Path;
 
@@ -32,12 +32,12 @@ pub struct ManifestEntry {
 }
 
 impl Serialize for ManifestEntry {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".into(), self.name.to_value()),
-            ("circuit_fp".into(), format!("{:016x}", self.circuit).to_value()),
-            ("compiler_fp".into(), format!("{:016x}", self.compiler).to_value()),
-        ])
+    fn serialize(&self, w: &mut JsonWriter) {
+        let mut o = w.object();
+        o.field("name", &self.name);
+        o.field("circuit_fp", &format!("{:016x}", self.circuit));
+        o.field("compiler_fp", &format!("{:016x}", self.compiler));
+        o.end();
     }
 }
 
@@ -65,11 +65,10 @@ pub struct CorpusManifest {
 }
 
 impl Serialize for CorpusManifest {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".into(), CORPUS_MANIFEST_VERSION.to_value()),
-            ("entries".into(), self.entries.to_value()),
-        ])
+    fn serialize(&self, w: &mut JsonWriter) {
+        let mut o = w.object();
+        o.field("version", &CORPUS_MANIFEST_VERSION).field("entries", &self.entries);
+        o.end();
     }
 }
 
@@ -114,7 +113,7 @@ impl CorpusManifest {
     /// [`serde_json::Error`] — structurally impossible for manifests (no
     /// floats), kept for interface symmetry.
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(&self.to_value())
+        serde_json::to_string(self)
     }
 
     /// Parses a document produced by [`to_json`](Self::to_json).

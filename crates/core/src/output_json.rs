@@ -21,7 +21,7 @@
 //! layer's bit-identity tests are built on.
 
 use crate::interface::{CompileOutput, GateCounts, PhaseTimings};
-use serde::{DeError, Deserialize, ObjectView, Serialize, Value};
+use serde::{DeError, Deserialize, JsonWriter, ObjectView, Serialize, Value};
 use std::time::Duration;
 use zac_circuit::Fingerprint;
 
@@ -30,13 +30,11 @@ use zac_circuit::Fingerprint;
 pub const COMPILE_OUTPUT_FORMAT_VERSION: u64 = 2;
 
 impl Serialize for GateCounts {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("g1".into(), self.g1.to_value()),
-            ("g2".into(), self.g2.to_value()),
-            ("n_exc".into(), self.n_exc.to_value()),
-            ("n_tran".into(), self.n_tran.to_value()),
-        ])
+    fn serialize(&self, w: &mut JsonWriter) {
+        let mut o = w.object();
+        o.field("g1", &self.g1).field("g2", &self.g2);
+        o.field("n_exc", &self.n_exc).field("n_tran", &self.n_tran);
+        o.end();
     }
 }
 
@@ -53,11 +51,10 @@ impl Deserialize for GateCounts {
 }
 
 impl Serialize for PhaseTimings {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("place_ns".into(), ns_u64(self.place).to_value()),
-            ("schedule_ns".into(), ns_u64(self.schedule).to_value()),
-        ])
+    fn serialize(&self, w: &mut JsonWriter) {
+        let mut o = w.object();
+        o.field("place_ns", &ns_u64(self.place)).field("schedule_ns", &ns_u64(self.schedule));
+        o.end();
     }
 }
 
@@ -80,17 +77,17 @@ fn ns_u64(d: Duration) -> u64 {
 }
 
 impl Serialize for CompileOutput {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".into(), COMPILE_OUTPUT_FORMAT_VERSION.to_value()),
-            ("summary".into(), self.summary.to_value()),
-            ("report".into(), self.report.to_value()),
-            ("counts".into(), self.counts.to_value()),
-            ("compile_time_ns".into(), ns_u64(self.compile_time).to_value()),
-            ("from_cache".into(), self.from_cache.to_value()),
-            ("phases".into(), self.phases.to_value()),
-            ("program".into(), self.program.to_value()),
-        ])
+    fn serialize(&self, w: &mut JsonWriter) {
+        let mut o = w.object();
+        o.field("version", &COMPILE_OUTPUT_FORMAT_VERSION);
+        o.field("summary", &self.summary);
+        o.field("report", &self.report);
+        o.field("counts", &self.counts);
+        o.field("compile_time_ns", &ns_u64(self.compile_time));
+        o.field("from_cache", &self.from_cache);
+        o.field("phases", &self.phases);
+        o.field("program", &self.program);
+        o.end();
     }
 }
 
@@ -129,14 +126,15 @@ impl CompileOutput {
     /// JSON cannot represent them, and a NaN in a compile output is an
     /// upstream bug that must not propagate silently as `null`.
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        let value = self.to_value();
-        if !value.all_numbers_finite() {
+        let mut w = JsonWriter::new();
+        self.serialize(&mut w);
+        if w.wrote_non_finite() {
             return Err(serde_json::Error::custom(format!(
                 "compile output for `{}` contains non-finite numbers",
                 self.summary.name
             )));
         }
-        serde_json::to_string(&value)
+        Ok(w.into_string())
     }
 
     /// Parses any supported envelope version (see the module docs for the

@@ -16,7 +16,7 @@
 //! `zac_core::output_json` — the same bytes a direct compile serializes to,
 //! which is what the bit-identity tests assert.
 
-use serde::{DeError, Deserialize, ObjectView, Serialize, Value};
+use serde::{DeError, Deserialize, JsonWriter, ObjectView, ObjectWriter, Serialize, Value};
 use zac_core::admission::{AdmissionLimits, RejectReason};
 use zac_core::CompileOutput;
 
@@ -33,11 +33,10 @@ pub struct CircuitEntry {
 }
 
 impl Serialize for CircuitEntry {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".into(), self.name.to_value()),
-            ("qasm".into(), self.qasm.to_value()),
-        ])
+    fn serialize(&self, w: &mut JsonWriter) {
+        let mut o = w.object();
+        o.field("name", &self.name).field("qasm", &self.qasm);
+        o.end();
     }
 }
 
@@ -97,17 +96,13 @@ impl Request {
 }
 
 impl Serialize for Request {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("id".into(), self.id.to_value()),
-            ("compiler".into(), self.compiler.to_value()),
-            ("engine".into(), self.engine.to_value()),
-            ("priority".into(), self.priority.to_value()),
-            ("deadline_ms".into(), self.deadline_ms.to_value()),
-            ("limits".into(), self.limits.to_value()),
-            ("circuits".into(), self.circuits.to_value()),
-            ("trace".into(), self.trace.to_value()),
-        ])
+    fn serialize(&self, w: &mut JsonWriter) {
+        let mut o = w.object();
+        o.field("id", &self.id).field("compiler", &self.compiler).field("engine", &self.engine);
+        o.field("priority", &self.priority).field("deadline_ms", &self.deadline_ms);
+        o.field("limits", &self.limits).field("circuits", &self.circuits);
+        o.field("trace", &self.trace);
+        o.end();
     }
 }
 
@@ -198,34 +193,30 @@ impl EntryOutcome {
 }
 
 impl Serialize for EntryOutcome {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut JsonWriter) {
+        let mut o = w.object();
         match self {
-            Self::Ok(out) => Value::Object(vec![
-                ("status".into(), "ok".to_value()),
-                ("output".into(), out.to_value()),
-            ]),
-            Self::Rejected(reason) => Value::Object(vec![
-                ("status".into(), "rejected".to_value()),
-                ("reason".into(), reason.to_value()),
-            ]),
+            Self::Ok(out) => {
+                o.field("status", "ok").field("output", out);
+            }
+            Self::Rejected(reason) => {
+                o.field("status", "rejected").field("reason", reason);
+            }
             Self::Failed(err) => {
-                let mut obj = vec![
-                    ("status".into(), "failed".to_value()),
-                    ("kind".into(), err.kind().to_value()),
-                    ("reason".into(), err.to_string().to_value()),
-                ];
+                o.field("status", "failed").field("kind", err.kind());
+                o.field("reason", &err.to_string());
                 match err {
                     EntryError::Compile(_) => {}
                     EntryError::Panicked { message } => {
-                        obj.push(("message".into(), message.to_value()));
+                        o.field("message", message);
                     }
                     EntryError::Cancelled { after_ms } => {
-                        obj.push(("after_ms".into(), after_ms.to_value()));
+                        o.field("after_ms", after_ms);
                     }
                 }
-                Value::Object(obj)
             }
         }
+        o.end();
     }
 }
 
@@ -264,11 +255,10 @@ pub struct PhaseTotals {
 }
 
 impl Serialize for PhaseTotals {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("place_ns".into(), self.place_ns.to_value()),
-            ("schedule_ns".into(), self.schedule_ns.to_value()),
-        ])
+    fn serialize(&self, w: &mut JsonWriter) {
+        let mut o = w.object();
+        o.field("place_ns", &self.place_ns).field("schedule_ns", &self.schedule_ns);
+        o.end();
     }
 }
 
@@ -355,44 +345,40 @@ impl Response {
     }
 }
 
-fn head(kind: &str) -> Vec<(String, Value)> {
-    vec![("type".into(), kind.to_value()), ("protocol".into(), PROTOCOL_VERSION.to_value())]
+/// Opens a response object with its `type` and `protocol` lead fields.
+fn head<'w>(w: &'w mut JsonWriter, kind: &str) -> ObjectWriter<'w> {
+    let mut o = w.object();
+    o.field("type", kind).field("protocol", &PROTOCOL_VERSION);
+    o
 }
 
 impl Serialize for Response {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut JsonWriter) {
         match self {
             Self::Result { id, entry, name, outcome } => {
-                let mut obj = head("result");
-                obj.push(("id".into(), id.to_value()));
-                obj.push(("entry".into(), entry.to_value()));
-                obj.push(("name".into(), name.to_value()));
-                obj.push(("outcome".into(), outcome.to_value()));
-                Value::Object(obj)
+                let mut o = head(w, "result");
+                o.field("id", id).field("entry", entry).field("name", name);
+                o.field("outcome", outcome);
+                o.end();
             }
             Self::Rejected { id, reason } => {
-                let mut obj = head("rejected");
-                obj.push(("id".into(), id.to_value()));
-                obj.push(("reason".into(), reason.to_value()));
-                Value::Object(obj)
+                let mut o = head(w, "rejected");
+                o.field("id", id).field("reason", reason);
+                o.end();
             }
             Self::Done(done) => {
-                let mut obj = head("done");
-                obj.push(("id".into(), done.id.to_value()));
-                obj.push(("ok".into(), done.ok.to_value()));
-                obj.push(("rejected".into(), done.rejected.to_value()));
-                obj.push(("failed".into(), done.failed.to_value()));
-                obj.push(("latency_ms".into(), done.latency_ms.to_value()));
-                obj.push(("phase_totals".into(), done.phase_totals.to_value()));
-                obj.push(("metrics".into(), done.metrics.to_value()));
-                obj.push(("trace".into(), done.trace.to_value()));
-                Value::Object(obj)
+                let mut o = head(w, "done");
+                o.field("id", &done.id).field("ok", &done.ok);
+                o.field("rejected", &done.rejected).field("failed", &done.failed);
+                o.field("latency_ms", &done.latency_ms);
+                o.field("phase_totals", &done.phase_totals);
+                o.field("metrics", &done.metrics).field("trace", &done.trace);
+                o.end();
             }
             Self::Error { id, reason } => {
-                let mut obj = head("error");
-                obj.push(("id".into(), id.to_value()));
-                obj.push(("reason".into(), reason.to_value()));
-                Value::Object(obj)
+                let mut o = head(w, "error");
+                o.field("id", id).field("reason", reason);
+                o.end();
             }
         }
     }

@@ -42,12 +42,21 @@ fn direct_compile(n: usize) -> zac_core::CompileOutput {
     Compiler::compile(&zac, &preprocess(&circuit)).expect("direct compile succeeds")
 }
 
+/// Telemetry is process-global: the test that switches it on must not
+/// overlap a test that asserts it is off.
+static TELEMETRY_SWITCH: Mutex<()> = Mutex::new(());
+
+fn telemetry_switch() -> std::sync::MutexGuard<'static, ()> {
+    TELEMETRY_SWITCH.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn drain(service: &Service, request: Request) -> Vec<Response> {
     service.submit(request).iter().collect()
 }
 
 #[test]
 fn streams_every_entry_then_terminates_with_done() {
+    let _off = telemetry_switch();
     let service = test_service(2);
     let sizes = [3usize, 4, 5];
     let responses = drain(
@@ -273,6 +282,7 @@ fn bad_requests_come_back_as_error_responses() {
 
 #[test]
 fn telemetry_attaches_metrics_delta_and_trace_to_done() {
+    let _switch = telemetry_switch();
     zac_telemetry::set_enabled(true);
     let service = test_service(2);
     let mut request = Request::new("traced", "Zoned-ZAC", vec![entry(3), entry(4)]);

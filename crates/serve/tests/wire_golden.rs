@@ -61,8 +61,10 @@ fn compiled_sample() -> CompileOutput {
     let zac = Zac::with_config(Architecture::reference(), pinned_config());
     let mut out = Compiler::compile(&zac, &preprocess(&circuit)).expect("sample compiles");
     out.compile_time = Duration::from_nanos(123_456_789);
-    out.phases =
-        Some(PhaseTimings { place: Duration::from_nanos(1_000), schedule: Duration::from_nanos(2) });
+    out.phases = Some(PhaseTimings {
+        place: Duration::from_nanos(1_000),
+        schedule: Duration::from_nanos(2),
+    });
     out
 }
 
@@ -119,7 +121,7 @@ fn cases() -> Vec<(String, Response)> {
     for (kind, reason) in every_reject_reason() {
         cases.push((
             format!("result.rejected.{kind}"),
-            result("req-1", 2, "rejected", EntryOutcome::Rejected(reason.clone())),
+            result("req-1", 2, "rejected", EntryOutcome::Rejected(reason)),
         ));
         cases.push((format!("rejected.{kind}"), Response::Rejected { id: "req-2".into(), reason }));
     }
@@ -185,7 +187,10 @@ fn cases() -> Vec<(String, Response)> {
         }),
     ));
 
-    cases.push(("error.with_id".into(), Response::Error { id: Some("r".into()), reason: ESCAPES.into() }));
+    cases.push((
+        "error.with_id".into(),
+        Response::Error { id: Some("r".into()), reason: ESCAPES.into() },
+    ));
     cases.push((
         "error.without_id".into(),
         Response::Error { id: None, reason: "malformed request: expected `{` at byte 0".into() },
@@ -223,7 +228,9 @@ fn check_or_regen(file: &str, header: &str, rows: &[(String, String)]) {
     for (key, value) in rows {
         match goldens.get(key) {
             Some(expect) if expect == value => {}
-            Some(expect) => mismatches.push(format!("{key}:\n  expected {expect}\n  got      {value}")),
+            Some(expect) => {
+                mismatches.push(format!("{key}:\n  expected {expect}\n  got      {value}"))
+            }
             None => mismatches.push(format!("{key}: missing from {file}")),
         }
     }

@@ -197,7 +197,7 @@ impl Instruction {
 /// a camelCase `type` field, and `OneQGate` serializes as `1qGate`.
 mod json {
     use super::*;
-    use serde::{DeError, Deserialize, ObjectView, Serialize, Value};
+    use serde::{DeError, Deserialize, JsonWriter, ObjectView, Serialize, Value};
 
     serde::impl_serde_struct!(QubitLoc { qubit, slm_id, row, col });
 
@@ -216,18 +216,18 @@ mod json {
     });
 
     impl Serialize for AodInst {
-        fn to_value(&self) -> Value {
+        fn serialize(&self, w: &mut JsonWriter) {
+            let mut o = w.object();
             match self {
-                AodInst::Activate { row_id, row_y, col_id, col_x } => Value::object()
-                    .with("row_id", row_id.to_value())
-                    .with("row_y", row_y.to_value())
-                    .with("col_id", col_id.to_value())
-                    .with("col_x", col_x.to_value())
-                    .with_tag_first("type", "activate"),
-                AodInst::Deactivate { row_id, col_id } => Value::object()
-                    .with("row_id", row_id.to_value())
-                    .with("col_id", col_id.to_value())
-                    .with_tag_first("type", "deactivate"),
+                AodInst::Activate { row_id, row_y, col_id, col_x } => {
+                    o.field("type", "activate");
+                    o.field("row_id", row_id).field("row_y", row_y);
+                    o.field("col_id", col_id).field("col_x", col_x);
+                }
+                AodInst::Deactivate { row_id, col_id } => {
+                    o.field("type", "deactivate");
+                    o.field("row_id", row_id).field("col_id", col_id);
+                }
                 AodInst::Move {
                     row_id,
                     row_y_begin,
@@ -235,15 +235,15 @@ mod json {
                     col_id,
                     col_x_begin,
                     col_x_end,
-                } => Value::object()
-                    .with("row_id", row_id.to_value())
-                    .with("row_y_begin", row_y_begin.to_value())
-                    .with("row_y_end", row_y_end.to_value())
-                    .with("col_id", col_id.to_value())
-                    .with("col_x_begin", col_x_begin.to_value())
-                    .with("col_x_end", col_x_end.to_value())
-                    .with_tag_first("type", "move"),
+                } => {
+                    o.field("type", "move");
+                    o.field("row_id", row_id);
+                    o.field("row_y_begin", row_y_begin).field("row_y_end", row_y_end);
+                    o.field("col_id", col_id);
+                    o.field("col_x_begin", col_x_begin).field("col_x_end", col_x_end);
+                }
             }
+            o.end();
         }
     }
 
@@ -275,25 +275,31 @@ mod json {
     }
 
     impl Serialize for Instruction {
-        fn to_value(&self) -> Value {
+        fn serialize(&self, w: &mut JsonWriter) {
             match self {
-                Instruction::Init { init_locs } => Value::object()
-                    .with("init_locs", init_locs.to_value())
-                    .with_tag_first("type", "init"),
-                Instruction::OneQGate { gates, begin_time, end_time } => Value::object()
-                    .with("gates", gates.to_value())
-                    .with("begin_time", begin_time.to_value())
-                    .with("end_time", end_time.to_value())
-                    .with_tag_first("type", "1qGate"),
-                Instruction::Rydberg { zone_id, begin_time, end_time } => Value::object()
-                    .with("zone_id", zone_id.to_value())
-                    .with("begin_time", begin_time.to_value())
-                    .with("end_time", end_time.to_value())
-                    .with_tag_first("type", "rydberg"),
-                // Newtype variant under an internal tag: the job's fields
-                // are inlined next to the tag, as serde does.
+                Instruction::Init { init_locs } => {
+                    let mut o = w.object();
+                    o.field("type", "init").field("init_locs", init_locs);
+                    o.end();
+                }
+                Instruction::OneQGate { gates, begin_time, end_time } => {
+                    let mut o = w.object();
+                    o.field("type", "1qGate").field("gates", gates);
+                    o.field("begin_time", begin_time).field("end_time", end_time);
+                    o.end();
+                }
+                Instruction::Rydberg { zone_id, begin_time, end_time } => {
+                    let mut o = w.object();
+                    o.field("type", "rydberg").field("zone_id", zone_id);
+                    o.field("begin_time", begin_time).field("end_time", end_time);
+                    o.end();
+                }
+                // Newtype variant under an internal tag: the job's own
+                // serializer writes its fields next to the tag, as serde
+                // does.
                 Instruction::RearrangeJob(job) => {
-                    job.to_value().with_tag_first("type", "rearrangeJob")
+                    w.tag_next_object("type", "rearrangeJob");
+                    job.serialize(w);
                 }
             }
         }

@@ -187,14 +187,15 @@ impl Program {
     /// bug): JSON cannot represent them, and emitting the `null` the format
     /// falls back to would silently corrupt the round trip.
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        let value = serde_json::to_value(self);
-        if !value.all_numbers_finite() {
+        let mut w = serde::JsonWriter::new();
+        serde::Serialize::serialize(self, &mut w);
+        if w.wrote_non_finite() {
             return Err(serde_json::Error::custom(format!(
                 "program `{}` contains a non-finite time/angle/coordinate",
                 self.circuit_name
             )));
         }
-        serde_json::to_string_pretty(&value)
+        Ok(w.into_pretty_string())
     }
 
     /// Parses a program from JSON.
