@@ -15,9 +15,8 @@
 //!
 //! * [`lru::ShardedLru`] — an in-process, `Mutex`-per-shard LRU holding
 //!   shared (`Arc`) [`CompileOutput`]s, sized in entries, with cost-aware
-//!   eviction
-//!   (cheap-to-recompute entries evict before expensive ones at comparable
-//!   recency);
+//!   eviction (cheap-to-recompute entries evict before expensive ones at
+//!   comparable recency);
 //! * a disk tier, [`segment::SegmentStore`] — an append-only segment log
 //!   with an in-memory index, compaction, crash-safe tail recovery, and
 //!   advisory cross-process sharing — consulted lazily on in-memory misses

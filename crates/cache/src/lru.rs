@@ -4,8 +4,9 @@
 //! lock-free cleverness): a rayon sweep's worker threads hash to different
 //! shards with high probability, so contention stays negligible next to
 //! compile times. Entries are `Arc`s, so a lookup holds its shard only to
-//! bump a reference count; the caller's deep copy happens after unlock. Keys are already uniform 64-bit fingerprints, so shard
-//! selection is a simple XOR-fold — no re-hashing needed.
+//! bump a reference count; the caller's deep copy happens after unlock.
+//! Keys are already uniform 64-bit fingerprints, so shard selection is a
+//! simple XOR-fold — no re-hashing needed.
 //!
 //! Eviction is cost-aware (a GreedyDual-style twist on LRU): each entry
 //! carries a bonus of `8 × log2(recompile-µs)` logical ticks, derived from
